@@ -24,7 +24,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.datamodel.instances import Instance
-from repro.core.composition import _candidate_intermediates, compose_full
+from repro.core.composition import (
+    canonical_intermediates,
+    compose_full,
+    composition_membership,
+)
 from repro.core.generators import MinGenConfig
 from repro.core.mapping import (
     MappingError,
@@ -178,6 +182,12 @@ def _tgd_evaluable(expr: MappingExpr) -> SchemaMapping:
     return concrete
 
 
+def _contains_compose(expr: MappingExpr) -> bool:
+    return isinstance(expr, Compose) or any(
+        _contains_compose(child) for child in expr.children()
+    )
+
+
 def expression_membership(
     expr: MappingExpr,
     left: Instance,
@@ -188,18 +198,26 @@ def expression_membership(
     """Decide (left, right) ∈ Inst(expr) without materializing the
     whole expression.
 
-    ``compose`` nodes enumerate candidate intermediates of the first
-    leg and recurse on the second; ``union`` nodes are conjunctions
-    of their operands' memberships (Inst of a union of constraint
-    sets is the intersection); everything else falls back to a model
-    check against the materialized mapping.
+    ``compose`` nodes search candidate intermediates of the first
+    leg: a compose-free second leg materializes cheaply (no MinGen)
+    and runs the pruned :func:`composition_membership`, a second leg
+    that composes again is recursed into per canonical candidate.
+    ``union`` nodes are conjunctions of their operands' memberships
+    (Inst of a union of constraint sets is the intersection);
+    everything else falls back to a model check against the
+    materialized mapping.
     """
     if isinstance(expr, Compose):
         first = _tgd_evaluable(expr.first)
+        if not _contains_compose(expr.second):
+            return composition_membership(
+                first, materialize(expr.second), left, right,
+                max_nulls=max_nulls,
+            )
         stats = engine_stats()
         with stats.phase("compose.membership"):
-            for candidate in _candidate_intermediates(
-                first, left, right, max_nulls
+            for candidate in canonical_intermediates(
+                first, left, right, max_nulls=max_nulls
             ):
                 stats.bump("membership_candidates_tried")
                 if expression_membership(

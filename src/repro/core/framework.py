@@ -40,7 +40,7 @@ from repro.core.mapping import (
     data_exchange_equivalent,
     solutions_contained,
 )
-from repro.core.composition import composition_membership
+from repro.core.composition import MembershipSearch, composition_membership
 from repro.engine.budget import (
     Budget,
     COVERAGE_EXHAUSTIVE,
@@ -1054,14 +1054,29 @@ def _generalized_inverse_task(left: Instance) -> _InverseEvents:
 
 
 def _is_inverse_task(left: Instance) -> _InverseEvents:
-    """Per-left worker for :func:`is_inverse` (exact membership)."""
+    """Per-left worker for :func:`is_inverse` (exact membership).
+
+    The default test prepares one :class:`MembershipSearch` per left
+    (chase, null order, compiled rules) and reuses it for every right.
+    It is built at the first right, so a null-budget error surfaces
+    exactly where the per-pair call would raise it."""
     mapping, candidate, universe, max_nulls, composition_test = get_shared()
     events: List[Tuple[Instance, bool, bool]] = []
+    search: Optional[MembershipSearch] = None
     for right in universe:
         try:
-            in_comp = _composition_test_membership(
-                composition_test, mapping, candidate, left, right, max_nulls
-            )
+            if composition_test is None:
+                if search is None:
+                    search = MembershipSearch(
+                        mapping, candidate, left, max_nulls=max_nulls
+                    )
+                in_comp = composition_membership(
+                    mapping, candidate, left, right, search=search
+                )
+            else:
+                in_comp = composition_test(
+                    mapping, candidate, left, right, max_nulls
+                )
         except Exception as error:
             return events, error
         events.append((right, left.issubset(right), in_comp))

@@ -36,6 +36,10 @@ Layering contract:
   fork guard: a connection is never used across a ``fork`` — workers
   detect the pid change, drop the parent's pending buffer (the parent
   flushes its own), and reopen;
+* multi-thread safety (the daemon runs jobs on several threads) comes
+  from one shared connection opened with ``check_same_thread=False``
+  and a per-store lock held by every entry point, so the connection,
+  the pending buffer and the counters change one thread at a time;
 * every store carries an **engine version** (:data:`ENGINE_VERSION`).
   Opening a store written by a different engine version atomically
   drops its entries — canonical forms, key layouts, and value codecs
@@ -57,10 +61,12 @@ and ``use_store(None)`` is guaranteed cold even when it is set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sqlite3
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
@@ -251,6 +257,19 @@ class StoreStats:
         )
 
 
+def _serialized(method: Callable) -> Callable:
+    """Run a :class:`VerdictStore` entry point past the fork guard and
+    under the store's lock (see the module docstring)."""
+
+    @functools.wraps(method)
+    def entry_point(self: "VerdictStore", *args: Any, **kwargs: Any) -> Any:
+        self._fork_guard()
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return entry_point
+
+
 class VerdictStore:
     """On-disk second level for the content-addressed memo caches.
 
@@ -279,6 +298,7 @@ class VerdictStore:
         self._pending: Dict[Tuple[str, str], str] = {}
         self._connection: Optional[sqlite3.Connection] = None
         self._pid = os.getpid()
+        self._lock = threading.RLock()
 
     # -- connection management ----------------------------------------
 
@@ -289,8 +309,11 @@ class VerdictStore:
         itself).  Runs at every store entry point — not only when a
         connection is first needed — so entries the *child* buffers
         before its first ``_connect`` are never discarded with the
-        inherited ones."""
+        inherited ones.  The lock is replaced too: another parent
+        thread may have held it at the fork, and never releases the
+        child's copy."""
         if os.getpid() != self._pid:
+            self._lock = threading.RLock()
             self._connection = None
             self._pending = {}
             self._pid = os.getpid()
@@ -304,7 +327,9 @@ class VerdictStore:
             return self._connection
         try:
             connection = sqlite3.connect(
-                self.path, timeout=_BUSY_TIMEOUT_SECONDS
+                self.path,
+                timeout=_BUSY_TIMEOUT_SECONDS,
+                check_same_thread=False,
             )
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
@@ -367,6 +392,7 @@ class VerdictStore:
         """Does this store persist entries of the named cache?"""
         return cache_name in _CODECS
 
+    @_serialized
     def load(self, cache_name: str, key: Any) -> Tuple[bool, Any]:
         """Probe the store for a memo key: ``(hit, decoded value)``.
 
@@ -378,7 +404,6 @@ class VerdictStore:
         codec = _CODECS.get(cache_name)
         if codec is None:
             return False, None
-        self._fork_guard()
         digest = stable_digest(key)
         payload = self._pending.get((cache_name, digest))
         from_disk = False
@@ -457,19 +482,19 @@ class VerdictStore:
             return
         self.quarantined += 1
 
+    @_serialized
     def save(self, cache_name: str, key: Any, value: Any) -> None:
         """Enqueue a write-through entry; lands at the next flush."""
         codec = _CODECS.get(cache_name)
         if codec is None:
             return
-        self._fork_guard()
         self._pending[(cache_name, stable_digest(key))] = codec[0](value)
         if len(self._pending) >= self.flush_interval:
             self.flush()
 
+    @_serialized
     def flush(self) -> None:
         """Write pending entries in one transaction (best effort)."""
-        self._fork_guard()
         if not self._pending:
             return
         connection = None
@@ -505,6 +530,7 @@ class VerdictStore:
         self.writes += len(batch)
         self._pending.clear()
 
+    @_serialized
     def close(self) -> None:
         self.flush()
         if self._connection is not None:
@@ -516,6 +542,7 @@ class VerdictStore:
 
     # -- introspection -------------------------------------------------
 
+    @_serialized
     def entry_count(self) -> int:
         connection = self._connect()
         if connection is None:
@@ -526,6 +553,7 @@ class VerdictStore:
             return 0
         return int(row[0]) + len(self._pending)
 
+    @_serialized
     def quarantine_count(self) -> int:
         """Rows moved to the quarantine table (by loads or ``fsck``)."""
         connection = self._connect()

@@ -6,6 +6,8 @@ import glob
 import itertools
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -169,6 +171,45 @@ class TestVerdictStore:
         assert store.load("verdict", ("child",)) == (True, True)
         hit, _ = store.load("verdict", ("parent",))
         assert not hit  # the parent flushes its own buffer itself
+
+    def test_threads_share_one_store(self, tmp_path):
+        """The daemon's job threads share the ambient store: loads,
+        saves and flushes from threads that did not open the
+        connection must neither fail nor lose entries."""
+        store = VerdictStore(tmp_path / "s.sqlite", flush_interval=7)
+        store.save("verdict", ("opened-here",), True)
+        store.flush()  # the connection now belongs to this thread
+        names = ("a", "b", "c", "d")  # more threads than cores
+        start = threading.Barrier(len(names))
+
+        def worker(name):
+            start.wait()
+            for index in range(200):
+                store.save("verdict", (name, index), index % 2 == 0)
+                store.load("verdict", (name, index // 2))
+                store.load("verdict", ("opened-here",))
+
+        threads = [threading.Thread(target=worker, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        store.flush()
+        assert store.read_errors == store.write_errors == 0
+        reopened = VerdictStore(tmp_path / "s.sqlite")
+        for name in names:
+            for index in range(200):
+                assert reopened.load("verdict", (name, index)) == (
+                    True,
+                    index % 2 == 0,
+                )
+        assert reopened.read_errors == 0
 
 
 class TestIntegrityFuzz:
