@@ -28,6 +28,14 @@ Rules that keep this safe and reproducible:
 * a task that *raises* inside a worker is replayed serially in the
   parent at its exact merge position, so exceptions surface with the
   same ordering and type a serial loop would produce;
+* a pool whose results are no longer wanted (the caller stopped at a
+  first violation, or the merge raised) is *wound down*, not
+  terminated: a shared cancel flag makes workers skip their remaining
+  tasks, and the pool is closed and joined.  ``Pool.terminate()``
+  SIGTERMs workers wherever they are, and one killed while sending a
+  result keeps the result queue's lock forever, which hangs the
+  terminating join.  Only a worker still busy after a short grace
+  period is terminated;
 * with ``workers <= 1``, on platforms without ``fork``, or inside an
   existing worker, the runner degrades to a plain serial loop over
   the same task function, which is how serial/parallel equivalence is
@@ -49,6 +57,7 @@ parent-side recovery is never itself faulted):
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import signal
@@ -82,6 +91,7 @@ class _RunnerState(threading.local):
         self.shared: Any = None
         self.in_worker = False
         self.task: Optional[Callable[[Any], Any]] = None
+        self.cancel: Optional[mmap.mmap] = None
 
 
 _STATE = _RunnerState()
@@ -96,6 +106,10 @@ _POOL_CREATE_LOCK = threading.Lock()
 _DEFAULT_TASK_TIMEOUT = 300.0
 _POLL_INTERVAL = 0.02
 
+# How long a wind-down waits for workers to finish the task in hand
+# before it falls back to terminating them.
+_WIND_DOWN_GRACE = 2.0
+
 
 def get_shared() -> Any:
     """The context published by the current :meth:`map` call (task
@@ -108,6 +122,7 @@ def _worker_init(
     task: Optional[Callable[[Any], Any]] = None,
     budget: Optional[Budget] = None,
     backend: Optional[str] = None,
+    cancel: Optional[mmap.mmap] = None,
 ) -> None:
     # Forked workers inherit the parent's signal dispositions.  A host
     # that traps SIGTERM (the service daemon's graceful-drain handler)
@@ -123,6 +138,7 @@ def _worker_init(
     _STATE.shared = shared
     _STATE.in_worker = True
     _STATE.task = task
+    _STATE.cancel = cancel
     install_budget(budget)
     # Workers already inherit the ambient backend (fork happens inside
     # the checker's use_backend scope) along with the intern table;
@@ -193,6 +209,8 @@ def _supervised_call(batch: Sequence[Tuple[int, Any]]) -> List[Any]:
     assert task is not None
     results: List[Any] = []
     for index, item in batch:
+        if _STATE.cancel is not None and _STATE.cancel[0]:
+            break  # the parent is winding the pool down
         _apply_fault_hooks(index)
         results.append(task(item))
     # Persist this chunk's chase/verdict traffic before the worker is
@@ -319,14 +337,18 @@ class ParallelUniverseRunner:
             for start in range(0, len(indexed), chunk)
         ]
         context = multiprocessing.get_context("fork")
+        # One shared byte, inherited by the forked workers: set to ask
+        # them to skip the tasks they have not started.
+        cancel = mmap.mmap(-1, 1)
         with _POOL_CREATE_LOCK:
             pool = context.Pool(
                 processes=self.workers,
                 initializer=_worker_init,
-                initargs=(shared, task, budget, active_backend()),
+                initargs=(shared, task, budget, active_backend(), cancel),
             )
         pool_alive = True
         condemned = False
+        pending: List[Any] = []
         try:
             known_pids = self._worker_pids(pool)
             pending = [
@@ -346,6 +368,10 @@ class ParallelUniverseRunner:
                             batch_results = None
                     else:
                         engine_stats().count_worker_fault()
+                        condemned = True
+                        pool.terminate()
+                        pool.join()
+                        pool_alive = False
                         if self.on_fault == "raise":
                             raise WorkerFault(
                                 f"pool worker fault ({outcome}) while "
@@ -354,10 +380,6 @@ class ParallelUniverseRunner:
                                 kind=outcome,
                                 first_task=batch[0][0],
                             )
-                        condemned = True
-                        pool.terminate()
-                        pool.join()
-                        pool_alive = False
                 if batch_results is None and condemned and not pool_alive:
                     # Harvest chunks that completed before condemnation.
                     if async_result.ready():
@@ -376,8 +398,25 @@ class ParallelUniverseRunner:
                         yield task(item)
         finally:
             if pool_alive:
-                pool.terminate()
-                pool.join()
+                cancel[0] = 1
+                self._wind_down(pool, pending)
+            cancel.close()
+
+    @staticmethod
+    def _wind_down(pool: Any, pending: Sequence[Any]) -> None:
+        """Close and join a pool whose workers may still be busy (see
+        the module docstring); terminate it only if some chunk is still
+        running after :data:`_WIND_DOWN_GRACE` seconds."""
+        pool.close()
+        deadline = time.monotonic() + _WIND_DOWN_GRACE
+        for async_result in pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            async_result.wait(remaining)
+        if not all(async_result.ready() for async_result in pending):
+            pool.terminate()
+        pool.join()
 
     def _await(
         self,

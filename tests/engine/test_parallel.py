@@ -1,5 +1,9 @@
 """Serial/parallel equivalence and determinism of the universe runner."""
 
+import multiprocessing.pool
+import pathlib
+import time
+
 import pytest
 
 from repro.catalog import (
@@ -24,6 +28,28 @@ needs_fork = pytest.mark.skipif(
 )
 
 WORKER_COUNTS = [2, 3, 4]
+
+
+def _stall_on_one(item):
+    """Item 1 leaves a marker file, then stalls for 30 s."""
+    marker, value = item
+    if value == 1:
+        pathlib.Path(marker).touch()
+        time.sleep(30)
+    return value
+
+
+def _record_terminate(monkeypatch):
+    """Record every ``Pool.terminate`` call (and still terminate)."""
+    calls = []
+    original = multiprocessing.pool.Pool.terminate
+
+    def terminate(pool):
+        calls.append(pool)
+        original(pool)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    return calls
 
 
 class TestRunner:
@@ -52,6 +78,37 @@ class TestRunner:
         assert next(stream) == 0
         stream.close()
         assert produced == [0]  # nothing beyond the consumed prefix
+
+    @needs_fork
+    def test_abandoned_stream_winds_the_pool_down(self, monkeypatch):
+        # Terminating can kill a worker while it holds the result
+        # queue's lock and hang the join: when every chunk finishes,
+        # the pool must be closed and joined instead.
+        terminated = _record_terminate(monkeypatch)
+        for _ in range(20):
+            stream = ParallelUniverseRunner(workers=4, chunk_size=1).map_iter(
+                abs, range(-40, 40)
+            )
+            assert next(stream) == 40
+            stream.close()
+        assert terminated == []
+
+    @needs_fork
+    def test_wind_down_terminates_a_straggler(self, monkeypatch, tmp_path):
+        terminated = _record_terminate(monkeypatch)
+        marker = tmp_path / "started"
+        stream = ParallelUniverseRunner(workers=2, chunk_size=1).map_iter(
+            _stall_on_one, [(str(marker), value) for value in range(8)]
+        )
+        assert next(stream) == 0
+        deadline = time.monotonic() + 30
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert marker.exists()
+        started = time.monotonic()
+        stream.close()
+        assert len(terminated) == 1
+        assert time.monotonic() - started < 30
 
     def test_default_workers_round_trip(self):
         original = default_workers()
