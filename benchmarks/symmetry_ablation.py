@@ -2,15 +2,15 @@
 
 Runs the bounded checkers over a tiny universe in both symmetry modes
 — serially, parallel, and parallel under deterministic fault injection
-(``REPRO_FAULT_KILL_TASK``) — and fails loudly when any pair of runs
-disagrees.  This is the cheap end-to-end guard for the soundness of
+(``REPRO_FAULTS=worker.kill:task=1``) — and fails loudly when any pair
+of runs disagrees.  This is the cheap end-to-end guard for the soundness of
 the orbit reduction: whatever else changes in the engine, ``full`` and
 ``orbits`` must remain observationally identical.
 
 Usage (CI runs both)::
 
     PYTHONPATH=src python benchmarks/symmetry_ablation.py
-    REPRO_FAULT_KILL_TASK=1 PYTHONPATH=src python benchmarks/symmetry_ablation.py --workers 2
+    REPRO_FAULTS=worker.kill:task=1 PYTHONPATH=src python benchmarks/symmetry_ablation.py --workers 2
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     fault_knobs = {
         knob: value
         for knob, value in os.environ.items()
-        if knob.startswith("REPRO_FAULT_")
+        if knob == "REPRO_FAULTS"
     }
     print(
         f"symmetry ablation: |universe|={len(universe)} "

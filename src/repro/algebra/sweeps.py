@@ -6,23 +6,21 @@ the planner pick an evaluation strategy, run the requested bounded
 check, and render a report that is byte-identical for every plan
 mode, backend, and worker count.
 
-Rendering duplicates the service layer's tiny formatters (header,
-coverage, violation lines) instead of importing
-:mod:`repro.service.jobs` — jobs imports this module, and the
-formats must stay in lockstep byte for byte (the service test suite
-pins both).  Report text derives only from the *title* (the original
-expression label) and sweep verdicts, never from the names or
-structure of whatever mapping the plan chose to evaluate — that is
-what makes byte-identity across plans hold by construction.
+Reports are rendered by :mod:`repro.analysis.render`, the same
+builders the service jobs use.  Report text derives only from the
+*title* (the original expression label) and sweep verdicts, never
+from the names or structure of whatever mapping the plan chose to
+evaluate — that is what makes byte-identity across plans hold by
+construction.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.datamodel.instances import Instance
+from repro.analysis import render
 from repro.core.mapping import MappingError, SchemaMapping
 from repro.engine.budget import Budget
 from repro.engine.checkpoint import CheckpointJournal
@@ -65,38 +63,6 @@ class AlgebraReport:
 
     def explain(self) -> str:
         return self.plan.explain(self.actuals)
-
-
-# -- rendering helpers (format-locked to repro.service.jobs) ------------
-
-
-def _facts(instance: Instance) -> str:
-    return "{" + ", ".join(str(fact) for fact in instance.sorted_facts()) + "}"
-
-
-def _header(name: str, what: str, domain: Sequence[str], max_facts: int) -> str:
-    rendered = ",".join(domain)
-    return (
-        f"== check {name}: {what} over domain {{{rendered}}}, "
-        f"max_facts={max_facts} =="
-    )
-
-
-def _coverage_line(coverage: str, instances: int, orbits: int) -> str:
-    return (
-        f"coverage: {coverage} "
-        f"(instances_checked={instances}, orbits_checked={orbits})"
-    )
-
-
-def _violation_lines(pairs, joiner: str, limit: int = 5) -> List[str]:
-    lines = [
-        f"  violation: {_facts(left)} {joiner} {_facts(right)}"
-        for left, right in pairs[:limit]
-    ]
-    if len(pairs) > limit:
-        lines.append(f"  ... and {len(pairs) - limit} more")
-    return lines
 
 
 # -- plan-directed evaluation -------------------------------------------
@@ -266,21 +232,10 @@ def _run_unique(
     verdict = unique_solutions_property(
         evaluated, universe, budget=budget, **options
     )
-    ok, violations = verdict
-    lines = [
-        _header(shown, "unique solutions", domain, max_facts),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if ok else 'VIOLATED'}",
-    ]
-    lines.extend(_violation_lines(violations, "~"))
-    lines.append(
-        _coverage_line(
-            verdict.coverage, verdict.instances_checked, verdict.orbits_checked
-        )
-    )
+    lines = render.unique_lines(shown, domain, max_facts, len(universe), verdict)
     return (
         lines,
-        ok,
+        verdict.ok,
         verdict.coverage,
         verdict.instances_checked,
         verdict.orbits_checked,
@@ -305,18 +260,7 @@ def _run_subset(
         checkpoint=checkpoint,
         **options,
     )
-    lines = [
-        _header(shown, "subset property (~M,~M)", domain, max_facts),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if report.holds else 'VIOLATED'} "
-        f"(pairs checked: {report.checked})",
-    ]
-    lines.extend(_violation_lines(report.violations, "|"))
-    lines.append(
-        _coverage_line(
-            report.coverage, report.instances_checked, report.orbits_checked
-        )
-    )
+    lines = render.subset_lines(shown, domain, max_facts, len(universe), report)
     return (
         lines,
         report.holds,
@@ -339,7 +283,6 @@ def _run_invertibility(
     # so they always read from the materialization — memoized, paid
     # once — while the sweeps run whatever the plan chose
     syntax = materialize(normalized)
-    classification = classify_mapping(syntax)
     report = invertibility_report(
         evaluated,
         universe,
@@ -348,30 +291,10 @@ def _run_invertibility(
         syntax_mapping=syntax,
         **options,
     )
-    subset = report.quasi_subset_property
-    lines = [
-        _header(shown, "invertibility", domain, max_facts),
-        f"class: {classification.describe()} "
-        f"({classification.n_dependencies} dependencies)",
-        f"universe: {len(universe)} instances",
-        f"constant propagation: {'yes' if report.constant_propagation else 'no'}",
-        f"unique solutions: {'yes' if report.unique_solutions else 'VIOLATED'}",
-    ]
-    if report.unique_solutions_witness is not None:
-        left, right = report.unique_solutions_witness
-        lines.append(f"  witness: {_facts(left)} ~ {_facts(right)}")
-    lines.append(
-        f"subset property (~M,~M): {'holds' if subset.holds else 'VIOLATED'} "
-        f"(pairs checked: {subset.checked})"
+    lines = render.invertibility_lines(
+        shown, domain, max_facts, len(universe), classify_mapping(syntax), report
     )
-    lines.extend(_violation_lines(subset.violations, "|"))
-    lines.append(f"verdict: {report.verdict()}")
-    lines.append(
-        _coverage_line(
-            report.coverage, report.instances_checked, report.orbits_checked
-        )
-    )
-    holds = report.unique_solutions and subset.holds
+    holds = report.unique_solutions and report.quasi_subset_property.holds
     return (
         lines,
         holds,
@@ -422,24 +345,20 @@ def _run_inverse(
             **options,
         )
     lines = [
-        _header(
-            shown,
-            f"inverse via {reverse_shown}",
-            domain,
-            max_facts,
-        ),
+        render.header(shown, f"inverse via {reverse_shown}", domain, max_facts),
         f"universe: {len(universe)} instances",
         f"inverse: {'yes' if report.holds else 'VIOLATED'} "
         f"(pairs checked: {report.checked})",
     ]
     for left, right, direction in report.mismatches[:5]:
         lines.append(
-            f"  mismatch: {_facts(left)} vs {_facts(right)} ({direction})"
+            f"  mismatch: {render.facts(left)} vs {render.facts(right)} "
+            f"({direction})"
         )
     if len(report.mismatches) > 5:
         lines.append(f"  ... and {len(report.mismatches) - 5} more")
     lines.append(
-        _coverage_line(
+        render.coverage_line(
             report.coverage, report.instances_checked, report.orbits_checked
         )
     )

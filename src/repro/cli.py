@@ -437,6 +437,17 @@ def _configure_engine(arguments: argparse.Namespace) -> None:
         os.environ["REPRO_RESUME"] = "1"
 
 
+def _check_sweep_knobs() -> None:
+    """Resolve the sweep settings once up front, so a malformed
+    ``REPRO_*`` knob exits 2 before any work instead of at the first
+    sweep (which would raise the same :class:`~repro.errors.ConfigError`)."""
+    from repro.engine.budget import resolve_budget
+    from repro.engine.symmetry import resolve_shards
+
+    resolve_budget(None)
+    resolve_shards(None, None)
+
+
 def _coverage_exit(code: int) -> int:
     """Upgrade a passing exit code when sweeps were cut short.
 
@@ -634,7 +645,10 @@ def main(argv: List[str] | None = None) -> int:
     if arguments.command == "fsck":
         return _command_fsck(arguments)
     _configure_engine(arguments)
+    from repro.errors import ConfigError
+
     try:
+        _check_sweep_knobs()
         if arguments.command == "check":
             return _command_check(arguments)
         if arguments.command == "run":
@@ -642,6 +656,9 @@ def main(argv: List[str] | None = None) -> int:
                 _command_run(arguments.experiments, arguments.json)
             )
         return _coverage_exit(_command_all(arguments.json))
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         _report_engine(arguments)
 

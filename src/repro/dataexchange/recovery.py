@@ -19,7 +19,7 @@ validate both over the catalog and random workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.chase.homomorphism import instance_homomorphism
 from repro.datamodel.instances import Instance
@@ -33,14 +33,10 @@ from repro.engine.budget import (
     record_coverage,
     use_budget,
 )
-from repro.engine.cache import mapping_key
-from repro.engine.checkpoint import CheckpointJournal, default_journal, sweep_key
-from repro.engine.instrumentation import engine_stats
-from repro.engine.kernel import use_backend
-from repro.engine.parallel import ParallelUniverseRunner, get_shared
-from repro.engine.store import stable_digest
-from repro.engine.symmetry import plan_sweep, use_ground_keys
-from repro.errors import BudgetExceeded, WorkerFault, governed_coverage
+from repro.engine.checkpoint import CheckpointJournal
+from repro.engine.sweep import Sweep, SweepOutcome, run_sweep
+from repro.engine.symmetry import SweepPlan
+from repro.errors import BudgetExceeded, governed_coverage
 
 
 @dataclass(frozen=True)
@@ -139,41 +135,37 @@ def is_faithful(
     ).faithful
 
 
-def _round_trip_task(instance: Instance) -> Tuple[bool, bool]:
-    # Budget trips propagate out of the task (rather than being folded
-    # into the per-instance report) so the surrounding sweep stops with
-    # partial coverage instead of mislabeling cut-short instances as
-    # violators.
-    mapping, reverse_mapping = get_shared()
+def _round_trip_task(
+    plan: SweepPlan, position: int, context: Tuple
+) -> Iterator[Optional[Instance]]:
+    """The instance when its round trip fails the verdict the sweep
+    judges (0 sound, 1 faithful), else None.
+
+    Budget trips propagate out of the task (rather than being folded
+    into a per-instance report) so the sweep stops with partial
+    coverage instead of mislabeling cut-short instances as violators.
+    """
+    mapping, reverse_mapping, judged = context
+    instance = plan.outer[position]
     trip = round_trip(mapping, reverse_mapping, instance)
-    sound, faithful, _ = _judge_round_trip(trip)
-    return sound, faithful
-
-
-def _resolve_budget(budget: Optional[Budget]) -> Optional[Budget]:
-    if budget is not None:
-        return budget
-    ambient = current_budget()
-    if ambient is not None:
-        return ambient
-    return Budget.from_env()
+    yield None if _judge_round_trip(trip)[judged] else instance
 
 
 def _sweep(
     mapping: SchemaMapping,
     reverse_mapping: SchemaMapping,
     instances: Iterable[Instance],
-    keep: Callable[[Tuple[bool, bool]], bool],
-    workers: Optional[int],
+    judged: int,
     *,
     label: str,
-    budget: Optional[Budget] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
-    symmetry: Optional[str] = None,
-    backend: Optional[str] = None,
+    workers: Optional[int],
+    budget: Optional[Budget],
+    checkpoint: Optional[CheckpointJournal],
+    symmetry: Optional[str],
+    backend: Optional[str],
 ) -> SweepVerdict:
     """Fan the Figure-1 round trip out over *instances* and collect,
-    in input order, those whose verdict fails *keep*.
+    in input order, those whose verdict *judged* fails.
 
     Returns a :class:`~repro.engine.budget.SweepVerdict` — unpacks as
     the historical ``(ok, violators)`` pair and carries ``coverage`` /
@@ -181,7 +173,7 @@ def _sweep(
     else environment) that trips mid-sweep yields a partial verdict
     over the instances already judged; *checkpoint* (default: the
     ``REPRO_CHECKPOINT`` journal) lets an interrupted sweep resume
-    from the verified prefix.
+    from the verified prefix.  Round-trip sweeps are never sharded.
 
     The per-instance verdict is invariant under constant permutation
     whenever both mappings are (chases commute with renaming, and
@@ -189,100 +181,24 @@ def _sweep(
     ``symmetry="orbits"`` sweeps one representative per orbit; listed
     violators are then representatives of violating orbits.
     """
-    ordered = list(instances)
-    plan = plan_sweep(symmetry, ordered, mappings=(mapping, reverse_mapping))
-    budget = _resolve_budget(budget)
-    journal = checkpoint if checkpoint is not None else default_journal()
-    key = sweep_key(
-        label,
-        mapping.name or mapping,
-        reverse_mapping.name or reverse_mapping,
-        len(ordered),
-        plan.mode,
+    sweep = Sweep(
+        phase="check.round_trips",
+        label=label,
+        task=_round_trip_task,
+        context=(mapping, reverse_mapping, judged),
+        report=SweepOutcome.verdict,
+        universe=list(instances),
+        mappings=(mapping, reverse_mapping),
+        journaled=True,
     )
-    fingerprint = stable_digest(
-        [
-            label,
-            plan.mode,
-            mapping_key(mapping),
-            mapping_key(reverse_mapping),
-            [instance.sorted_facts() for instance in ordered],
-        ]
-    )[:16]
-    start = (
-        journal.resume_index(key, len(plan.outer), fingerprint)
-        if journal
-        else 0
-    )
-    prior = (
-        journal.prior_verdict(key)
-        if journal and start
-        else {"ok": True, "violations": 0}
-    )
-    runner = ParallelUniverseRunner(workers)
-    coverage = COVERAGE_EXHAUSTIVE
-    position = start
-    instances_checked = plan.covered_upto(start)
-    orbits_checked = start if plan.reduced else 0
-    violators: List[Instance] = []
-
-    def note_progress(flush: bool = False) -> None:
-        if journal is not None:
-            journal.record(
-                key,
-                verified_upto=position,
-                total=len(plan.outer),
-                ok=prior["ok"] and not violators,
-                violations=prior["violations"] + len(violators),
-                fingerprint=fingerprint,
-                flush=flush,
-            )
-
-    with engine_stats().phase("check.round_trips"), use_budget(
-        budget
-    ), use_ground_keys(plan.ground_keys), use_backend(backend):
-        results = runner.map_iter(
-            _round_trip_task,
-            plan.outer[start:],
-            shared=(mapping, reverse_mapping),
-            budget=budget,
-        )
-        try:
-            for instance, verdict in zip(plan.outer[start:], results):
-                if not keep(verdict):
-                    violators.append(instance)
-                instances_checked += plan.weight_of(position)
-                position += 1
-                if plan.reduced:
-                    orbits_checked += 1
-                note_progress()
-        except (BudgetExceeded, WorkerFault) as error:
-            coverage = governed_coverage(error)
-            if coverage is None:
-                raise
-            note_progress(flush=True)
-            record_coverage(label, coverage, str(error), instances_checked)
-            return SweepVerdict(
-                prior["ok"] and not violators,
-                tuple(violators),
-                coverage=coverage,
-                instances_checked=instances_checked,
-                orbits_checked=orbits_checked,
-            )
-    if journal is not None:
-        journal.complete(
-            key,
-            total=len(plan.outer),
-            ok=prior["ok"] and not violators,
-            violations=prior["violations"] + len(violators),
-            fingerprint=fingerprint,
-        )
-    return SweepVerdict(
-        prior["ok"] and not violators,
-        tuple(violators),
-        coverage=coverage,
-        instances_checked=instances_checked,
-        orbits_checked=orbits_checked,
+    return run_sweep(
+        sweep,
+        symmetry=symmetry,
+        workers=workers,
+        budget=budget,
+        backend=backend,
+        shards=1,
+        checkpoint=checkpoint,
     )
 
 
@@ -306,9 +222,9 @@ def sound_on(
         mapping,
         reverse_mapping,
         instances,
-        lambda verdict: verdict[0],
-        workers,
+        0,
         label="check.sound_on",
+        workers=workers,
         budget=budget,
         checkpoint=checkpoint,
         symmetry=symmetry,
@@ -336,9 +252,9 @@ def faithful_on(
         mapping,
         reverse_mapping,
         instances,
-        lambda verdict: verdict[1],
-        workers,
+        1,
         label="check.faithful_on",
+        workers=workers,
         budget=budget,
         checkpoint=checkpoint,
         symmetry=symmetry,

@@ -27,8 +27,8 @@ verdict that lets legacy ``ok, violators = sweep(...)`` callers coexist
 with coverage-aware ones.
 
 Deterministic fault injection (for tests): the ``budget.expire`` point
-of the unified fault plane (:mod:`repro.engine.faults`) — or its legacy
-``REPRO_FAULT_EXPIRE_AFTER="<instances|chase_steps>:N"`` alias — makes
+of the unified fault plane (:mod:`repro.engine.faults`), e.g.
+``REPRO_FAULTS="budget.expire:resource=chase_steps,after=12"``, makes
 the budget behave as if its deadline passed after exactly N charges of
 that resource, regardless of wall-clock time.
 """
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.engine import faults
-from repro.errors import BudgetExceeded, DeadlineExceeded
+from repro.errors import BudgetExceeded, ConfigError, DeadlineExceeded
 
 _RSS_CHECK_PERIOD = 256
 
@@ -108,20 +108,32 @@ class Budget:
     def from_env(cls) -> Optional["Budget"]:
         """A budget from ``REPRO_DEADLINE`` / ``REPRO_MAX_INSTANCES`` /
         ``REPRO_MAX_CHASE_STEPS`` / ``REPRO_MAX_RSS_MB``, or None when
-        no knob is set (the CLI's ``--deadline`` etc. set these)."""
+        no knob is set (the CLI's ``--deadline`` etc. set these).  A
+        knob that is not a number raises
+        :class:`~repro.errors.ConfigError` rather than running the
+        sweep without the limit the caller asked for."""
 
         def _float(name: str) -> Optional[float]:
-            raw = os.environ.get(name)
+            raw = os.environ.get(name, "").strip()
             if not raw:
                 return None
             try:
                 return float(raw)
             except ValueError:
-                return None
+                raise ConfigError(
+                    f"{name}={raw!r} is not a number", knob=name, value=raw
+                ) from None
 
         def _int(name: str) -> Optional[int]:
             value = _float(name)
-            return int(value) if value is not None else None
+            if value is None:
+                return None
+            try:
+                return int(value)
+            except (ValueError, OverflowError):  # nan, inf
+                raise ConfigError(
+                    f"{name}={value!r} is not a count", knob=name, value=value
+                ) from None
 
         deadline = _float("REPRO_DEADLINE")
         max_instances = _int("REPRO_MAX_INSTANCES")
@@ -272,6 +284,18 @@ def current_budget() -> Optional[Budget]:
 def install_budget(budget: Optional[Budget]) -> None:
     """Set the ambient budget unconditionally (pool worker startup)."""
     _STATE.budget = budget
+
+
+def resolve_budget(budget: Optional[Budget]) -> Optional[Budget]:
+    """The budget a sweep runs under: an explicit one, else the ambient
+    one, else whatever the environment knobs configure
+    (:meth:`Budget.from_env`)."""
+    if budget is not None:
+        return budget
+    ambient = current_budget()
+    if ambient is not None:
+        return ambient
+    return Budget.from_env()
 
 
 @contextmanager
@@ -446,6 +470,7 @@ __all__ = [
     "install_budget",
     "record_coverage",
     "reset_coverage_events",
+    "resolve_budget",
     "use_budget",
     "worst_coverage",
 ]

@@ -46,13 +46,13 @@ Deterministic fault injection (tests only; the ``worker.kill`` and
 :mod:`repro.engine.faults` — act **inside workers only**, so
 parent-side recovery is never itself faulted):
 
-* ``worker.kill`` (legacy alias ``REPRO_FAULT_KILL_TASK=<i>``) — the
+* ``worker.kill`` (e.g. ``REPRO_FAULTS=worker.kill:task=1``) — the
   worker that picks up the matching task SIGKILLs itself first
   (simulates the OOM killer);
-* ``worker.delay`` (legacy alias ``REPRO_FAULT_DELAY_TASK=<i>:<s>`` or
-  ``*:<s>``) — the worker sleeps before running the task (simulates a
-  straggler; pair with a small ``REPRO_TASK_TIMEOUT`` to exercise
-  timeout recovery).
+* ``worker.delay`` (e.g. ``REPRO_FAULTS="worker.delay:task=*,seconds=0.2"``)
+  — the worker sleeps before running the task (simulates a straggler;
+  pair with a small ``REPRO_TASK_TIMEOUT`` to exercise timeout
+  recovery).
 """
 
 from __future__ import annotations
@@ -286,7 +286,9 @@ class ParallelUniverseRunner:
         *budget* (default: the ambient one) is charged one instance
         per merged result and its deadline/RSS limits are checked
         between results; workers inherit it through the pool
-        initializer so chase-step caps apply inside tasks too.
+        initializer so chase-step caps apply inside tasks too.  Each
+        result counts once towards ``instances_processed`` when it is
+        handed out, whether or not the caller asks for another.
         """
         stats = engine_stats()
         if budget is None:
@@ -300,8 +302,9 @@ class ParallelUniverseRunner:
                     for item in items:
                         if budget is not None:
                             budget.charge_instances()
-                        yield task(item)
+                        result = task(item)
                         count += 1
+                        yield result
                 return
             materialized: Sequence[Item] = (
                 items if isinstance(items, (list, tuple)) else list(items)
@@ -312,8 +315,8 @@ class ParallelUniverseRunner:
                 ):
                     if budget is not None:
                         budget.charge_instances()
-                    yield result
                     count += 1
+                    yield result
         finally:
             _STATE.shared = previous
             stats.count_instances(count)

@@ -63,6 +63,7 @@ from repro.datamodel.atoms import Atom
 from repro.datamodel.instances import Instance
 from repro.datamodel.schemas import Schema
 from repro.datamodel.terms import Constant
+from repro.errors import ConfigError
 
 SYMMETRY_FULL = "full"
 SYMMETRY_ORBITS = "orbits"
@@ -803,31 +804,20 @@ class SweepPlan:
             return position
         return sum(self.weights[:position])
 
-    def shard(self, shards: int, shard_id: int) -> "SweepPlan":
-        """The sub-plan of the outer items owned by *shard_id* (see
-        :func:`shard_of_instance`).  Relative order — and therefore
-        serial merge order within the shard — is preserved, and every
-        outer item belongs to exactly one shard, so the shard reports
-        merge back to the unsharded report exactly."""
+    def shard_positions(self, shards: int, shard_id: int) -> List[int]:
+        """The positions in ``outer`` of the items owned by *shard_id*
+        (see :func:`shard_of_instance`), in order.  Every outer item
+        belongs to exactly one shard, so shard sweeps merge back to the
+        unsharded sweep exactly."""
         if not 0 <= shard_id < shards:
             raise ValueError(
                 f"shard_id must be in [0, {shards}), got {shard_id}"
             )
-        keep = [
+        return [
             position
             for position, instance in enumerate(self.outer)
             if shard_of_instance(instance, shards) == shard_id
         ]
-        return SweepPlan(
-            self.mode,
-            [self.outer[position] for position in keep],
-            (
-                [self.weights[position] for position in keep]
-                if self.weights is not None
-                else None
-            ),
-            self.ground_keys,
-        )
 
 
 def plan_sweep(
@@ -907,18 +897,25 @@ def shard_of_instance(instance: Instance, shards: int) -> int:
 def default_shards() -> Tuple[int, Optional[int]]:
     """The environment-configured sharding: ``(REPRO_SHARDS,
     REPRO_SHARD_ID)``, defaulting to ``(1, None)`` — sharding is
-    opt-in.  Unparsable values fall back to the default."""
+    opt-in.  A value that is not an integer raises
+    :class:`~repro.errors.ConfigError`: silently sweeping every shard
+    would hand the caller a different sweep than the one asked for."""
+    shards = _int_knob("REPRO_SHARDS")
+    return max(1, shards if shards is not None else 1), _int_knob(
+        "REPRO_SHARD_ID"
+    )
+
+
+def _int_knob(name: str) -> Optional[int]:
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
     try:
-        shards = max(1, int(os.environ.get("REPRO_SHARDS", "1")))
+        return int(raw)
     except ValueError:
-        shards = 1
-    raw_id = os.environ.get("REPRO_SHARD_ID", "")
-    shard_id: Optional[int]
-    try:
-        shard_id = int(raw_id) if raw_id != "" else None
-    except ValueError:
-        shard_id = None
-    return shards, shard_id
+        raise ConfigError(
+            f"{name}={raw!r} is not an integer", knob=name, value=raw
+        ) from None
 
 
 def resolve_shards(
@@ -937,8 +934,10 @@ def resolve_shards(
             shard_id = env_shard_id
     shards = max(1, int(shards))
     if shard_id is not None and not 0 <= shard_id < shards:
-        raise ValueError(
-            f"shard_id must be in [0, {shards}), got {shard_id}"
+        raise ConfigError(
+            f"shard_id must be in [0, {shards}), got {shard_id}",
+            knob="REPRO_SHARD_ID",
+            value=shard_id,
         )
     return shards, shard_id
 

@@ -113,9 +113,21 @@ class CompositionBudgetError(BudgetExceeded):
     many candidate intermediate instances."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A sweep environment knob (``REPRO_DEADLINE``,
+    ``REPRO_MAX_INSTANCES``, ``REPRO_MAX_CHASE_STEPS``,
+    ``REPRO_MAX_RSS_MB``, ``REPRO_SHARDS``, ``REPRO_SHARD_ID``) is
+    malformed.
+
+    Raised when the sweep settings are resolved, so a typo aborts the
+    run (the CLI exits 2) instead of silently dropping the limit or
+    the shard the caller asked for.  ``context`` carries the ``knob``
+    and its ``value``.
+    """
+
+
 class FaultSpecError(ReproError, ValueError):
-    """A fault-injection spec (``REPRO_FAULTS`` or a legacy
-    ``REPRO_FAULT_*`` knob) is malformed.
+    """A fault-injection spec (``REPRO_FAULTS``) is malformed.
 
     Raised eagerly — when the fault plane is first consulted — so a
     typo in a chaos schedule aborts the run at startup instead of
@@ -219,6 +231,7 @@ __all__ = [
     "BudgetExceeded",
     "ChaseError",
     "CompositionBudgetError",
+    "ConfigError",
     "DeadlineExceeded",
     "FaultSpecError",
     "GOVERNED_KINDS",

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis import render
 from repro.engine.budget import (
     COVERAGE_EXHAUSTIVE,
     Budget,
@@ -79,38 +80,6 @@ def budget_for(
     )
 
 
-# -- rendering helpers -----------------------------------------------------
-
-
-def _facts(instance: Any) -> str:
-    return "{" + ", ".join(str(fact) for fact in instance.sorted_facts()) + "}"
-
-
-def _header(name: str, what: str, spec: Dict[str, Any]) -> str:
-    domain = ",".join(spec["domain"])
-    return (
-        f"== check {name}: {what} over domain {{{domain}}}, "
-        f"max_facts={spec['max_facts']} =="
-    )
-
-
-def _coverage_line(coverage: str, instances: int, orbits: int) -> str:
-    return (
-        f"coverage: {coverage} "
-        f"(instances_checked={instances}, orbits_checked={orbits})"
-    )
-
-
-def _violation_lines(pairs, joiner: str, limit: int = 5) -> List[str]:
-    lines = [
-        f"  violation: {_facts(left)} {joiner} {_facts(right)}"
-        for left, right in pairs[:limit]
-    ]
-    if len(pairs) > limit:
-        lines.append(f"  ... and {len(pairs) - limit} more")
-    return lines
-
-
 def _universe(mapping, spec: Dict[str, Any]) -> list:
     from repro.workloads import power_instances
 
@@ -154,33 +123,16 @@ def _run_invertibility_job(
     from repro.analysis.invertibility import invertibility_report
 
     mapping = resolve_mapping(spec["mapping"])
-    classification = classify_mapping(mapping)
     universe = _universe(mapping, spec)
     report = invertibility_report(
         mapping, universe, checkpoint=checkpoint, **_sweep_options(spec)
     )
-    subset = report.quasi_subset_property
-    lines = [
-        _header(_mapping_label(mapping), "invertibility", spec),
-        f"class: {classification.describe()} "
-        f"({classification.n_dependencies} dependencies)",
-        f"universe: {len(universe)} instances",
-        f"constant propagation: {'yes' if report.constant_propagation else 'no'}",
-        f"unique solutions: {'yes' if report.unique_solutions else 'VIOLATED'}",
-    ]
-    if report.unique_solutions_witness is not None:
-        left, right = report.unique_solutions_witness
-        lines.append(f"  witness: {_facts(left)} ~ {_facts(right)}")
-    lines.append(
-        f"subset property (~M,~M): {'holds' if subset.holds else 'VIOLATED'} "
-        f"(pairs checked: {subset.checked})"
+    lines = render.invertibility_lines(
+        _mapping_label(mapping), spec["domain"], spec["max_facts"],
+        len(universe), classify_mapping(mapping), report,
     )
-    lines.extend(_violation_lines(subset.violations, "|"))
-    lines.append(f"verdict: {report.verdict()}")
-    lines.append(
-        _coverage_line(report.coverage, report.instances_checked, report.orbits_checked)
-    )
-    return "\n".join(lines), report.unique_solutions and subset.holds
+    holds = report.unique_solutions and report.quasi_subset_property.holds
+    return "\n".join(lines), holds
 
 
 def _run_subset_job(
@@ -200,15 +152,9 @@ def _run_subset_job(
         checkpoint=checkpoint,
         **_sweep_options(spec),
     )
-    lines = [
-        _header(_mapping_label(mapping), "subset property (~M,~M)", spec),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if report.holds else 'VIOLATED'} "
-        f"(pairs checked: {report.checked})",
-    ]
-    lines.extend(_violation_lines(report.violations, "|"))
-    lines.append(
-        _coverage_line(report.coverage, report.instances_checked, report.orbits_checked)
+    lines = render.subset_lines(
+        _mapping_label(mapping), spec["domain"], spec["max_facts"],
+        len(universe), report,
     )
     return "\n".join(lines), report.holds
 
@@ -220,22 +166,14 @@ def _run_unique_job(
 
     mapping = resolve_mapping(spec["mapping"])
     universe = _universe(mapping, spec)
-    # No checkpoint: the unique-solutions sweep carries no journal
-    # support (it is the cheap phase; see invertibility_report).
+    # No checkpoint: only subset-property and round-trip sweeps keep a
+    # journal; this sweep re-runs from the start after an interruption.
     verdict = unique_solutions_property(mapping, universe, **_sweep_options(spec))
-    ok, violations = verdict
-    lines = [
-        _header(_mapping_label(mapping), "unique solutions", spec),
-        f"universe: {len(universe)} instances",
-        f"holds: {'yes' if ok else 'VIOLATED'}",
-    ]
-    lines.extend(_violation_lines(violations, "~"))
-    lines.append(
-        _coverage_line(
-            verdict.coverage, verdict.instances_checked, verdict.orbits_checked
-        )
+    lines = render.unique_lines(
+        _mapping_label(mapping), spec["domain"], spec["max_facts"],
+        len(universe), verdict,
     )
-    return "\n".join(lines), ok
+    return "\n".join(lines), verdict.ok
 
 
 def _run_roundtrip_job(
@@ -252,22 +190,23 @@ def _run_roundtrip_job(
     sound = sound_on(mapping, reverse, universe, checkpoint=checkpoint, **options)
     faithful = faithful_on(mapping, reverse, universe, checkpoint=checkpoint, **options)
     lines = [
-        _header(
+        render.header(
             _mapping_label(mapping),
             f"round trip via {_mapping_label(reverse)}",
-            spec,
+            spec["domain"],
+            spec["max_facts"],
         ),
         f"universe: {len(universe)} instances",
         f"sound: {'yes' if sound.ok else 'VIOLATED'}",
     ]
     for violator in sound.violators[:5]:
-        lines.append(f"  violator: {_facts(violator)}")
+        lines.append(f"  violator: {render.facts(violator)}")
     lines.append(f"faithful: {'yes' if faithful.ok else 'VIOLATED'}")
     for violator in faithful.violators[:5]:
-        lines.append(f"  violator: {_facts(violator)}")
+        lines.append(f"  violator: {render.facts(violator)}")
     coverage = worst_coverage(sound.coverage, faithful.coverage)
     lines.append(
-        _coverage_line(
+        render.coverage_line(
             coverage,
             sound.instances_checked + faithful.instances_checked,
             sound.orbits_checked + faithful.orbits_checked,

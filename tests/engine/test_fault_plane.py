@@ -4,7 +4,7 @@ Companion to ``test_faults.py`` (which exercises what happens *after*
 a fault fires — recovery, budgets, partial verdicts): these tests pin
 down the plane itself — every malformed spec shape raises
 :class:`~repro.errors.FaultSpecError`, deterministic schedules replay,
-legacy ``REPRO_FAULT_*`` aliases keep their semantics, and injections
+task-scoped ``worker.*`` rules keep their semantics, and injections
 land on the engine counters.
 """
 
@@ -26,13 +26,7 @@ from repro.errors import FaultSpecError, ReproError
 
 @pytest.fixture(autouse=True)
 def _clean(monkeypatch):
-    for name in (
-        "REPRO_FAULTS",
-        "REPRO_FAULT_KILL_TASK",
-        "REPRO_FAULT_DELAY_TASK",
-        "REPRO_FAULT_EXPIRE_AFTER",
-    ):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     reset_engine_stats()
     yield
     reset_engine_stats()
@@ -169,67 +163,42 @@ class TestEnvPlane:
         assert not active_plane().rules
 
 
-class TestLegacyAliases:
-    def test_kill_task_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
+class TestTaskScopedRules:
+    def test_kill_task_rule(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=5")
         plane = active_plane()
         rule = plane.rule("worker.kill")
         assert rule is not None and rule.task == 5
         assert plane.fire("worker.kill", index=4) is None
         assert plane.fire("worker.kill", index=5) is not None
-        # legacy semantics: fires on *every* matching dispatch
+        # a bare task rule fires on *every* matching dispatch
         assert plane.fire("worker.kill", index=5) is not None
 
     def test_negative_kill_task_parses_but_never_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "-1")
+        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=-1")
         assert fire("worker.kill", index=0) is None
 
-    def test_delay_task_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_DELAY_TASK", "*:0.25")
+    def test_delay_task_rule(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "worker.delay:task=*,seconds=0.25")
         rule = active_plane().rule("worker.delay")
         assert rule is not None
         assert rule.task == "*" and rule.seconds == 0.25
 
-    def test_expire_after_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_EXPIRE_AFTER", "chase_steps:12")
+    def test_expire_after_rule(self, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "budget.expire:resource=chase_steps,after=12"
+        )
         assert expire_rule() == ("chase_steps", 12)
 
     def test_expire_rule_default(self):
         assert expire_rule() == (None, 0)
 
     @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("REPRO_FAULT_KILL_TASK", "soon"),
-            ("REPRO_FAULT_DELAY_TASK", "3"),  # missing :seconds
-            ("REPRO_FAULT_DELAY_TASK", "*:fast"),
-            ("REPRO_FAULT_DELAY_TASK", "*:-1"),
-            ("REPRO_FAULT_EXPIRE_AFTER", "instances"),
-            ("REPRO_FAULT_EXPIRE_AFTER", "disk:3"),
-            ("REPRO_FAULT_EXPIRE_AFTER", "instances:many"),
-        ],
+        "name", ["REPRO_FAULT_KILL_TASK", "REPRO_FAULT_DELAY_TASK"]
     )
-    def test_malformed_legacy_knobs_raise(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(FaultSpecError):
-            active_plane()
-
-    def test_empty_legacy_value_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "")
-        assert active_plane().rule("worker.kill") is None
-
-    def test_repro_faults_overrides_alias_for_same_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
-        monkeypatch.setenv("REPRO_FAULTS", "worker.kill:task=9")
-        rule = active_plane().rule("worker.kill")
-        assert rule is not None and rule.task == 9
-
-    def test_alias_survives_unrelated_repro_faults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_KILL_TASK", "5")
-        monkeypatch.setenv("REPRO_FAULTS", "journal.flush:every=2")
-        plane = active_plane()
-        assert plane.rule("worker.kill") is not None
-        assert plane.rule("journal.flush") is not None
+    def test_retired_per_point_knobs_inject_nothing(self, monkeypatch, name):
+        monkeypatch.setenv(name, "*:0.25" if "DELAY" in name else "0")
+        assert not active_plane().rules
 
 
 class TestFaultScope:

@@ -481,6 +481,17 @@ class TestDefaultStore:
             assert default_store() is mine
             assert active_store() is mine
 
+    def test_round_trip_sweep_installs_the_env_store(self, tmp_path, monkeypatch):
+        from repro.catalog import decomposition, decomposition_quasi_inverse_join
+        from repro.dataexchange.recovery import sound_on
+
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
+        mapping = decomposition()
+        universe = list(power_instances(mapping.source, ("a", "b"), max_facts=1))
+        sound_on(mapping, decomposition_quasi_inverse_join(), universe, workers=1)
+        assert active_store() is not None
+        assert active_store().path == str(tmp_path / "env.sqlite")
+
     def test_env_unset_removes_only_the_env_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.sqlite"))
         assert default_store() is not None
@@ -497,11 +508,11 @@ class TestSharding:
             assert all(0 <= owner < shards for owner in owners)
             plan = plan_sweep("full", universe, mappings=(mapping,))
             kept = [
-                inst
+                position
                 for shard in range(shards)
-                for inst in plan.shard(shards, shard).outer
+                for position in plan.shard_positions(shards, shard)
             ]
-            assert sorted(map(repr, kept)) == sorted(map(repr, plan.outer))
+            assert sorted(kept) == list(range(len(plan.outer)))
 
     def test_shard_assignment_is_orbit_invariant(self):
         # every member of an orbit lands on its representative's shard

@@ -115,3 +115,22 @@ def test_check_unreachable_server_exit_2(capsys):
     )
     assert code == 2
     assert "cannot reach service" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"REPRO_MAX_INSTANCES": "ten"},
+        {"REPRO_DEADLINE": "soon"},
+        {"REPRO_MAX_CHASE_STEPS": "many"},
+        {"REPRO_MAX_RSS_MB": "lots"},
+        {"REPRO_SHARDS": "four"},
+        {"REPRO_SHARDS": "4", "REPRO_SHARD_ID": "one"},
+        {"REPRO_SHARDS": "4", "REPRO_SHARD_ID": "5"},
+    ],
+)
+def test_malformed_sweep_knob_exits_2(monkeypatch, capsys, knobs):
+    for name, value in knobs.items():
+        monkeypatch.setenv(name, value)
+    assert main(["run", "E12"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
